@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, lint, the smoke checks, and the perf-regression
-# gate over the committed BENCH_*.json artifacts.
+# CI gate: tier-1 tests, the paper-claim suite, lint, the smoke checks,
+# and the perf-regression gate over the committed BENCH_*.json artifacts.
 #
 # Mirrors what the reproducibility driver expects to hold: the full test
 # suite green, the lint gate clean, the tracing pipeline producing valid
@@ -18,6 +18,11 @@ export PYTHONPATH="${PWD}/src${PYTHONPATH:+:${PYTHONPATH}}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== paper claims =="
+# the Fig. 4-8 / Table 1-5 assertions under benchmarks/ (timing disabled)
+python -m pytest benchmarks/ --benchmark-disable -q
 
 echo
 echo "== lint =="

@@ -55,10 +55,10 @@ class LaunchStats:
     slm_bytes_per_group: int = 0
     collective_counts: dict[str, int] = field(default_factory=dict)
 
-    def record_collective(self, kind: str, scope: str) -> None:
-        """Count one completed collective, keyed as ``scope:kind``."""
+    def record_collective(self, kind: str, scope: str, count: int = 1) -> None:
+        """Count ``count`` completed collectives, keyed as ``scope:kind``."""
         key = f"{scope}:{kind}"
-        self.collective_counts[key] = self.collective_counts.get(key, 0) + 1
+        self.collective_counts[key] = self.collective_counts.get(key, 0) + count
 
 
 class _WorkItemState:

@@ -1,20 +1,21 @@
 """repro.wide — NumPy-vectorized lockstep execution backend.
 
 The third execution backend (after the faithful SYCL interpreter and the
-CUDA-dialect stream): one Python generator per *work-group* instead of
-one per work-item, with the lane axis materialized as NumPy arrays and
-every :class:`~repro.sycl.group.SyncOp` collective evaluated as a
-vectorized array operation. Runs the same kernel sources in
+CUDA-dialect stream): one Python generator per *launch* instead of one
+per work-item, with the ``(groups, items)`` lane space materialized as
+NumPy arrays and every :class:`~repro.sycl.group.SyncOp` collective
+evaluated as a vectorized array operation. Runs the same kernel sources in
 :mod:`repro.kernels` unmodified — see ``docs/wide_backend.md``.
 """
 
 from repro.wide.executor import (
     WideItem,
     evaluate_wide_collective,
-    run_work_group_wide,
     wide_launch,
 )
 from repro.wide.lanes import (
+    GroupMask,
+    GroupValue,
     LaneArray,
     LaneIndex,
     LaneMask,
@@ -27,6 +28,8 @@ from repro.wide.lower import lower_kernel
 from repro.wide.queue import WideQueue
 
 __all__ = [
+    "GroupMask",
+    "GroupValue",
     "LaneArray",
     "LaneIndex",
     "LaneMask",
@@ -35,7 +38,6 @@ __all__ = [
     "WideQueue",
     "evaluate_wide_collective",
     "lower_kernel",
-    "run_work_group_wide",
     "wide_launch",
     "wide_float",
     "wide_int",

@@ -27,24 +27,24 @@ def _faithful(op: SyncOp, width: int, values: np.ndarray) -> np.ndarray:
 
 class TestWideItem:
     def test_ids_carry_the_lane_axis(self):
-        item = WideItem(ND, 0)
+        item = WideItem(ND)
         assert isinstance(item.local_id, LaneArray)
         np.testing.assert_array_equal(np.asarray(item.local_id), np.arange(32))
         np.testing.assert_array_equal(
             np.asarray(item.sub_group_id), np.arange(32) // 16
         )
         np.testing.assert_array_equal(np.asarray(item.lane), np.arange(32) % 16)
-        assert item.group_id == 0
+        np.testing.assert_array_equal(item.group_id, [[0]])
         assert item.local_range == 32
 
     def test_global_ids_offset_by_group(self):
-        item = WideItem(NDRange(64, 32, 16), 1)
+        item = WideItem(NDRange(64, 32, 16))
         np.testing.assert_array_equal(
-            np.asarray(item.global_id), 32 + np.arange(32)
+            np.asarray(item.global_id)[1], 32 + np.arange(32)
         )
 
     def test_predicate_factories_keep_raw_lane_vectors(self):
-        item = WideItem(ND, 0)
+        item = WideItem(ND)
         mask = item.local_id == 0
         op = item.any_of_group(mask)
         assert op.value is mask  # not collapsed through bool()
@@ -58,36 +58,36 @@ class TestCollectives:
             op = SyncOp("reduce", GROUP, v, (red,))
             wide = evaluate_wide_collective(op, ND)
             faithful = _faithful(op, 32, v)
-            assert np.isscalar(wide)
-            np.testing.assert_allclose(wide, faithful[0], rtol=1e-12)
+            assert wide.shape == (1, 1)  # one value per group
+            np.testing.assert_allclose(wide[0, 0], faithful[0], rtol=1e-12)
 
     def test_scalar_contribution_counts_once_per_lane(self):
         # a lane-uniform scalar behaves as 32 identical contributions
         op = SyncOp("reduce", GROUP, 2.0, ("sum",))
-        assert evaluate_wide_collective(op, ND) == 64.0
+        np.testing.assert_array_equal(evaluate_wide_collective(op, ND), [[64.0]])
 
     def test_sub_group_reduce_repeats_per_subgroup_result(self):
         v = np.arange(32.0)
         op = SyncOp("reduce", SUB_GROUP, v, ("sum",))
         wide = evaluate_wide_collective(op, ND)
         expected = np.repeat([v[:16].sum(), v[16:].sum()], 16)
-        np.testing.assert_allclose(wide, expected)
+        np.testing.assert_allclose(wide[0], expected)
 
     def test_single_subgroup_reduce_returns_scalar(self):
         nd = NDRange(16, 16, 16)
         op = SyncOp("reduce", SUB_GROUP, np.arange(16.0), ("sum",))
         wide = evaluate_wide_collective(op, nd)
-        assert np.isscalar(wide)
-        assert wide == np.arange(16.0).sum()
+        assert wide.shape == (1, 1)  # one value per group
+        assert wide[0, 0] == np.arange(16.0).sum()
 
     def test_broadcasts(self):
         v = np.arange(32.0)
-        assert (
-            evaluate_wide_collective(SyncOp("broadcast", GROUP, v, (3,)), ND)
-            == 3.0
+        np.testing.assert_array_equal(
+            evaluate_wide_collective(SyncOp("broadcast", GROUP, v, (3,)), ND),
+            [[3.0]],
         )
         sg = evaluate_wide_collective(SyncOp("broadcast", SUB_GROUP, v, (2,)), ND)
-        np.testing.assert_array_equal(sg, np.repeat([2.0, 18.0], 16))
+        np.testing.assert_array_equal(sg[0], np.repeat([2.0, 18.0], 16))
 
     def test_scans_match_faithful(self):
         rng = np.random.default_rng(2)
@@ -95,7 +95,7 @@ class TestCollectives:
         for kind in ("inclusive_scan", "exclusive_scan"):
             op = SyncOp(kind, GROUP, v, ("sum",))
             np.testing.assert_allclose(
-                evaluate_wide_collective(op, ND),
+                evaluate_wide_collective(op, ND)[0],
                 _faithful(op, 32, v),
                 rtol=1e-12,
                 atol=1e-15,
@@ -114,18 +114,19 @@ class TestCollectives:
                     for s in (slice(0, 16), slice(16, 32))
                 ]
             )
-            np.testing.assert_array_equal(wide, expected)
+            np.testing.assert_array_equal(wide[0], expected)
 
     def test_any_all_over_lane_vectors(self):
+        def check(kind, pred, expected):
+            result = evaluate_wide_collective(SyncOp(kind, GROUP, pred, ()), ND)
+            np.testing.assert_array_equal(result, [[expected]])
+
         pred = np.zeros(32, dtype=bool)
-        assert evaluate_wide_collective(SyncOp("any", GROUP, pred, ()), ND) is False
+        check("any", pred, False)
         pred[5] = True
-        assert evaluate_wide_collective(SyncOp("any", GROUP, pred, ()), ND) is True
-        assert evaluate_wide_collective(SyncOp("all", GROUP, pred, ()), ND) is False
-        assert (
-            evaluate_wide_collective(SyncOp("all", GROUP, np.ones(32, bool), ()), ND)
-            is True
-        )
+        check("any", pred, True)
+        check("all", pred, False)
+        check("all", np.ones(32, bool), True)
 
     def test_barrier_returns_none(self):
         assert evaluate_wide_collective(SyncOp("barrier", GROUP), ND) is None
