@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, the paper-claim suite, lint, the smoke checks,
-# and the perf-regression gate over the committed BENCH_*.json artifacts.
+# CI gate: tier-1 tests, the paper-claim suite, the benchmark's own
+# tests, lint, the smoke checks, and the perf-regression gate over the
+# committed BENCH_*.json artifacts.
 #
 # Mirrors what the reproducibility driver expects to hold: the full test
 # suite green, the lint gate clean, the tracing pipeline producing valid
@@ -23,6 +24,12 @@ echo
 echo "== paper claims =="
 # the Fig. 4-8 / Table 1-5 assertions under benchmarks/ (timing disabled)
 python -m pytest benchmarks/ --benchmark-disable -q
+
+echo
+echo "== perfbench tests =="
+# the benchmark's own tests; its replay times BatchedMatrix.apply and
+# assemble_batch on the serving path
+python -m pytest -q perfbench/tests
 
 echo
 echo "== lint =="

@@ -2,9 +2,11 @@
 
 This is the paper's general-purpose format (Section 3.1): the row-pointer
 and column-index arrays are stored once for the whole batch, the value
-array holds every item's non-zeros. The batched SpMV vectorizes across the
-batch: a gather of ``x`` by the shared column indices followed by a
-segmented row reduction.
+array holds every item's non-zeros. The batched SpMV is one compiled CSR
+matvec over the batch's block-diagonal operator: the shared pattern tiled
+once per item, with the value array as its data. Each row is summed
+sequentially from zero in stored order, the order of the device kernel
+``repro.kernels.spmv.spmv_csr_item_rows``.
 """
 
 from __future__ import annotations
@@ -61,23 +63,25 @@ class BatchCsr(BatchedMatrix):
         super().__init__(values.shape[0], num_rows, ncols, dtype=values.dtype)
 
         nnz = values.shape[1]
-        _validate_pattern(row_ptrs, col_idxs, nnz, num_rows, ncols)
-
+        _validate_pattern(row_ptrs, col_idxs, nnz, num_cols=ncols)
+        self._row_lengths = np.diff(row_ptrs)
+        row_of = np.repeat(np.arange(num_rows, dtype=np.int32), self._row_lengths)
         # Normalize to sorted column order within each row so downstream
         # kernels (diagonal lookup, ILU schedules) can binary-search.
-        order = _sort_within_rows(row_ptrs, col_idxs)
+        order = _sort_within_rows(row_of, col_idxs)
+        if order is not None:
+            col_idxs = col_idxs[order]
+            values = values[:, order]
         self.row_ptrs = row_ptrs
-        self.col_idxs = np.ascontiguousarray(col_idxs[order])
-        self.values = np.ascontiguousarray(values[:, order])
+        self.col_idxs = col_idxs
+        self.values = np.ascontiguousarray(values)
 
-        self._row_lengths = np.diff(self.row_ptrs)
-        self._has_empty_rows = bool(np.any(self._row_lengths == 0))
-        # Row index of every stored non-zero; drives the empty-row-safe SpMV
-        # and per-row reductions elsewhere.
-        self._row_of_nnz = np.repeat(
-            np.arange(self._num_rows, dtype=np.int32), self._row_lengths
-        )
-        self._diag_positions = self._locate_diagonal()
+        # Row index of every stored non-zero (shared across the batch).
+        self._row_of_nnz = row_of
+        on_diag = np.flatnonzero(col_idxs == row_of)
+        self._diag_positions = np.full(num_rows, -1, dtype=np.int64)
+        self._diag_positions[row_of[on_diag]] = on_diag
+        self._operator: sp.csr_matrix | None = None
 
     # -- constructors --------------------------------------------------------------
 
@@ -162,16 +166,7 @@ class BatchCsr(BatchedMatrix):
         y_name: str = "y",
     ) -> np.ndarray:
         x = self.check_vector("x", x)
-        products = self.values * x[:, self.col_idxs]
-        if self._has_empty_rows:
-            y = np.zeros((self._num_batch, self._num_rows), dtype=self.dtype)
-            np.add.at(
-                y,
-                (np.arange(self._num_batch)[:, None], self._row_of_nnz[None, :]),
-                products,
-            )
-        else:
-            y = np.add.reduceat(products, self.row_ptrs[:-1], axis=1)
+        y = (self._block_diagonal() @ x.ravel()).reshape(self._num_batch, self._num_rows)
         if ledger is not None:
             ledger.tally_spmv(
                 self._num_batch,
@@ -186,6 +181,27 @@ class BatchCsr(BatchedMatrix):
             return y
         out[...] = y
         return out
+
+    def _block_diagonal(self) -> sp.csr_matrix:
+        """The batch as one block-diagonal CSR operator, built on first use.
+
+        Item ``k``'s block repeats the shared pattern with row pointers
+        offset by ``k * nnz`` and columns by ``k * num_cols``; its data is a
+        view of ``values``, so the operator stores no second copy of them.
+        """
+        if self._operator is None:
+            nb, nnz = self._num_batch, self.nnz_per_item
+            index_dtype = np.int32 if nb * max(nnz, self._num_cols) < 2**31 else np.int64
+            item = np.arange(nb, dtype=index_dtype)[:, None]
+            indptr = np.empty(nb * self._num_rows + 1, dtype=index_dtype)
+            indptr[:-1] = (self.row_ptrs[:-1] + item * nnz).ravel()
+            indptr[-1] = nb * nnz
+            indices = (self.col_idxs + item * self._num_cols).ravel()
+            self._operator = sp.csr_matrix(
+                (self.values.ravel(), indices, indptr),
+                shape=(nb * self._num_rows, nb * self._num_cols),
+            )
+        return self._operator
 
     def to_batch_dense(self) -> np.ndarray:
         dense = np.zeros(
@@ -284,20 +300,9 @@ class BatchCsr(BatchedMatrix):
         """Largest row length (the ELL width after conversion)."""
         return int(self._row_lengths.max())
 
-    def _locate_diagonal(self) -> np.ndarray:
-        n = min(self._num_rows, self._num_cols)
-        positions = np.full(self._num_rows, -1, dtype=np.int64)
-        for row in range(n):
-            start, end = self.row_ptrs[row], self.row_ptrs[row + 1]
-            cols = self.col_idxs[start:end]
-            hit = np.searchsorted(cols, row)
-            if hit < cols.shape[0] and cols[hit] == row:
-                positions[row] = start + hit
-        return positions
-
 
 def _validate_pattern(
-    row_ptrs: np.ndarray, col_idxs: np.ndarray, nnz: int, num_rows: int, num_cols: int
+    row_ptrs: np.ndarray, col_idxs: np.ndarray, nnz: int, num_cols: int
 ) -> None:
     if row_ptrs[0] != 0 or row_ptrs[-1] != nnz:
         raise BadSparsityPatternError(
@@ -315,18 +320,20 @@ def _validate_pattern(
             f"column indices outside [0, {num_cols}): "
             f"range [{col_idxs.min()}, {col_idxs.max()}]"
         )
-    # uniqueness within each row
-    for row in range(num_rows):
-        cols = col_idxs[row_ptrs[row] : row_ptrs[row + 1]]
-        if np.unique(cols).shape[0] != cols.shape[0]:
-            raise BadSparsityPatternError(f"row {row} contains duplicate column indices")
 
 
-def _sort_within_rows(row_ptrs: np.ndarray, col_idxs: np.ndarray) -> np.ndarray:
-    """Permutation that sorts column indices within each row."""
-    order = np.arange(col_idxs.shape[0], dtype=np.int64)
-    for row in range(row_ptrs.shape[0] - 1):
-        start, end = row_ptrs[row], row_ptrs[row + 1]
-        segment = np.argsort(col_idxs[start:end], kind="stable")
-        order[start:end] = start + segment
+def _sort_within_rows(row_of: np.ndarray, col_idxs: np.ndarray) -> np.ndarray | None:
+    """Permutation that sorts column indices within each row; ``None`` if sorted.
+
+    Raises on a column index repeated within a row, naming the lowest such row.
+    """
+    same_row = row_of[1:] == row_of[:-1]
+    if not np.any(same_row & (col_idxs[1:] <= col_idxs[:-1])):
+        return None
+    order = np.lexsort((col_idxs, row_of))
+    sorted_cols = col_idxs[order]
+    repeated = same_row & (sorted_cols[1:] == sorted_cols[:-1])
+    if np.any(repeated):
+        row = row_of[1:][np.argmax(repeated)]
+        raise BadSparsityPatternError(f"row {row} contains duplicate column indices")
     return order

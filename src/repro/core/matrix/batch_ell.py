@@ -81,12 +81,10 @@ class BatchEll(BatchedMatrix):
         num_rows = csr.num_rows
         col_idxs = np.full((width, num_rows), PADDING, dtype=np.int32)
         values = np.zeros((csr.num_batch, width, num_rows), dtype=csr.dtype)
-        lengths = np.diff(csr.row_ptrs)
-        for row in range(num_rows):
-            start = csr.row_ptrs[row]
-            for slot in range(lengths[row]):
-                col_idxs[slot, row] = csr.col_idxs[start + slot]
-                values[:, slot, row] = csr.values[:, start + slot]
+        rows = csr.row_of_nnz
+        slots = np.arange(csr.nnz_per_item) - csr.row_ptrs[rows]
+        col_idxs[slots, rows] = csr.col_idxs
+        values[:, slots, rows] = csr.values
         return cls(col_idxs, values, num_cols=csr.num_cols)
 
     @classmethod

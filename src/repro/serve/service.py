@@ -178,6 +178,7 @@ class SolverService:
         self._abort_close = False
         self._pool_closing = False
         self._state = threading.Condition()
+        self._flusher_idle = False  # waiting with no deadline armed
         self._flusher = threading.Thread(
             target=self._flush_loop, name="serve-flusher", daemon=True
         )
@@ -266,8 +267,12 @@ class SolverService:
         if flush is not None:
             self._dispatch(flush)
         else:
+            # Only an idle flusher needs waking: an armed one already waits
+            # for the earliest deadline, and a bucket opened now is due later.
             with self._state:
-                self._state.notify_all()  # flusher re-arms its deadline
+                if self._flusher_idle:
+                    self._flusher_idle = False
+                    self._state.notify_all()
         # close-race sweep: if close() ran between the admission check above
         # and the offer, the flusher is gone and a parked ticket would hang
         # forever. Whoever observes the race clears the stragglers — failed
@@ -319,7 +324,9 @@ class SolverService:
                     return
                 deadline = self.batcher.next_deadline_ns()
                 if deadline is None:
+                    self._flusher_idle = True
                     self._state.wait()
+                    self._flusher_idle = False
                 else:
                     wait_s = max(0.0, (deadline - monotonic_ns()) / 1e9)
                     self._state.wait(timeout=wait_s)
@@ -453,11 +460,16 @@ class SolverService:
                 )
 
                 with tracer.span("serve.scatter", category="serve", tid=worker.lane):
-                    for i, ticket in enumerate(live):
-                        if i in overrides:
-                            outcome_src, used_fallback = overrides[i]
-                        else:
-                            outcome_src, used_fallback = result.select([i]), False
+                    # Slice every result before completing any ticket: the
+                    # slices release the GIL, so interleaving them with the
+                    # completions hands it to each woken caller in turn.
+                    sources = [
+                        overrides[i] if i in overrides else (result.select([i]), False)
+                        for i in range(len(live))
+                    ]
+                    for i, (ticket, (outcome_src, used_fallback)) in enumerate(
+                        zip(live, sources)
+                    ):
                         # the per-request leg of the journey: pinned to the
                         # request's own trace, inside the shared flush
                         with tracer.span(
@@ -991,7 +1003,8 @@ class SolverService:
             self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
                 remaining
             )
-            self._state.notify_all()
+            if self._pending == 0:
+                self._state.notify_all()  # wakes wait_idle
 
     # -- lifecycle ---------------------------------------------------------------------
 

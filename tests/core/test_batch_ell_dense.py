@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.matrix import BatchCsr, BatchDense, BatchEll
 from repro.core.matrix.batch_ell import PADDING
 from repro.exceptions import BadSparsityPatternError, DimensionMismatchError
+from repro.workloads.pele import pele_batch
+from repro.workloads.stencil import three_point_stencil
 
 
 def _tridiag_dense(nb=3, n=6, seed=0):
@@ -59,6 +61,36 @@ class TestBatchEllConstruction:
         ell = BatchEll.from_batch_csr(csr)
         assert ell.ell_width == 3
         assert np.allclose(ell.to_batch_dense(), dense)
+
+    @pytest.mark.parametrize(
+        "csr",
+        [
+            three_point_stencil(64, 3),
+            pele_batch("isooctane", num_batch=3),
+            BatchCsr(
+                np.array([0, 2, 2, 5]),
+                np.array([3, 0, 2, 1, 0]),
+                np.arange(10.0).reshape(2, 5),
+                num_cols=4,
+            ),
+        ],
+        ids=["stencil", "isooctane", "empty_row_rectangular"],
+    )
+    def test_from_csr_matches_loop_conversion(self, csr):
+        # the row x slot loop from_batch_csr ran before it was vectorized
+        width, num_rows = csr.max_nnz_per_row(), csr.num_rows
+        col_idxs = np.full((width, num_rows), PADDING, dtype=np.int32)
+        values = np.zeros((csr.num_batch, width, num_rows), dtype=csr.dtype)
+        lengths = np.diff(csr.row_ptrs)
+        for row in range(num_rows):
+            start = csr.row_ptrs[row]
+            for slot in range(lengths[row]):
+                col_idxs[slot, row] = csr.col_idxs[start + slot]
+                values[:, slot, row] = csr.values[:, start + slot]
+        ell = BatchEll.from_batch_csr(csr)
+        assert np.array_equal(ell.col_idxs, col_idxs)
+        assert ell.values.dtype == values.dtype
+        assert np.array_equal(ell.values, values)
 
     def test_padding_slots_must_hold_zeros(self):
         cols = np.array([[0], [PADDING]], dtype=np.int32)

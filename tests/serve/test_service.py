@@ -1,5 +1,6 @@
 """SolverService end-to-end: correctness, backpressure, timeouts, fallback."""
 
+import threading
 import time
 
 import numpy as np
@@ -254,3 +255,42 @@ class TestLifecycle:
         service = SolverService(ServeConfig(num_workers=1))
         service.close()
         service.close()
+
+
+class TestWakeups:
+    """The flusher and ``wait_idle`` share one condition; only their events notify it."""
+
+    def test_only_arming_a_deadline_and_going_idle_notify(self):
+        config = ServeConfig(max_batch_size=8, max_wait_ms=10_000.0, num_workers=1)
+        with SolverService(config) as service:
+            give_up = time.monotonic() + 5.0
+            while not service._flusher_idle:  # parked, no deadline armed
+                assert time.monotonic() < give_up
+                time.sleep(0.001)
+            notifiers = []
+            notify_all = service._state.notify_all
+
+            def counting_notify_all():
+                notifiers.append(threading.current_thread().name)
+                notify_all()
+
+            service._state.notify_all = counting_notify_all
+            tickets = [
+                service.submit(SolveRequest(_tridiag(8), np.ones(8))) for _ in range(8)
+            ]
+            assert service.wait_idle(timeout=30.0)
+            assert all(t.result(timeout=1.0).batch_size == 8 for t in tickets)
+            # the first submit arms the deadline, the last completion wakes
+            # wait_idle; joining the bucket and the other completions do not
+            assert len(notifiers) == 2
+            assert notifiers[0] == threading.current_thread().name
+
+    def test_bucket_opened_under_an_armed_deadline_flushes_on_time(self):
+        config = ServeConfig(max_batch_size=64, max_wait_ms=20.0, num_workers=1)
+        with SolverService(config) as service:
+            first = service.submit(SolveRequest(_tridiag(8), np.ones(8)))
+            time.sleep(0.005)  # the flusher now waits for the first bucket
+            second = service.submit(SolveRequest(_tridiag(10), np.ones(10)))
+            outcomes = [first.result(timeout=5.0), second.result(timeout=5.0)]
+        assert [o.batch_size for o in outcomes] == [1, 1]
+        assert service.metrics.counter("serve.flushes.deadline").value == 2
