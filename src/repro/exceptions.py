@@ -32,6 +32,13 @@ class BadSparsityPatternError(ReproError, ValueError):
     """A sparsity pattern is malformed or inconsistent across a batch."""
 
 
+class NonFiniteInputError(ReproError, ValueError):
+    """A request's matrix values, ``b`` or ``x0`` hold NaN or infinity."""
+
+    status_code = 422
+    error_code = "non_finite_input"
+
+
 class UnsupportedCombinationError(ReproError, ValueError):
     """A dispatch combination (format/solver/preconditioner) is not legal."""
 

@@ -13,6 +13,7 @@ cheap enough to update inside solver iteration loops.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from typing import Any, Iterable
@@ -219,7 +220,7 @@ class LogHistogram:
     in the flight recorder or the trace viewer.
     """
 
-    __slots__ = ("name", "growth", "_buckets", "_zero", "_count", "_sum",
+    __slots__ = ("name", "growth", "_buckets", "_keys", "_zero", "_count", "_sum",
                  "_min", "_max", "_exemplars", "_lock")
 
     kind = "log_histogram"
@@ -233,6 +234,7 @@ class LogHistogram:
         self.name = name
         self.growth = float(growth)
         self._buckets: dict[int, int] = {}
+        self._keys: list[int] = []  # sorted bucket indices, kept in step
         self._zero = 0  # observations <= 0
         self._count = 0
         self._sum = 0.0
@@ -261,6 +263,8 @@ class LogHistogram:
                 self._zero += 1
             else:
                 idx = self._index(value)
+                if idx not in self._buckets:
+                    bisect.insort(self._keys, idx)
                 self._buckets[idx] = self._buckets.get(idx, 0) + 1
                 if trace_id is not None:
                     self._exemplars[idx] = (trace_id, value)
@@ -310,7 +314,7 @@ class LogHistogram:
             seen = self._zero
             if rank <= seen:
                 return 0.0
-            for idx in sorted(self._buckets):
+            for idx in self._keys:
                 seen += self._buckets[idx]
                 if rank <= seen:
                     # clamp the estimate into the actually observed range
@@ -332,6 +336,8 @@ class LogHistogram:
             exemplars = dict(other._exemplars)
         with self._lock:
             for idx, n in buckets.items():
+                if idx not in self._buckets:
+                    bisect.insort(self._keys, idx)
                 self._buckets[idx] = self._buckets.get(idx, 0) + n
             self._zero += zero
             self._count += count
@@ -369,8 +375,8 @@ class LogHistogram:
             seen = self._zero
             if rank <= seen:
                 return None  # percentile lands in the underflow bucket
-            target = max(self._buckets)
-            for idx in sorted(self._buckets):
+            target = self._keys[-1]
+            for idx in self._keys:
                 seen += self._buckets[idx]
                 if rank <= seen:
                     target = idx
@@ -387,7 +393,7 @@ class LogHistogram:
             cumulative = self._zero
             if self._zero:
                 bounds.append((0.0, cumulative))
-            for idx in sorted(self._buckets):
+            for idx in self._keys:
                 cumulative += self._buckets[idx]
                 bounds.append((self.growth ** (idx + 1), cumulative))
             return bounds

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +29,7 @@ from repro.core.matrix import BatchCsr, BatchDense, BatchedMatrix
 from repro.exceptions import (
     BadSparsityPatternError,
     DimensionMismatchError,
+    NonFiniteInputError,
     UnsupportedCombinationError,
 )
 
@@ -70,14 +72,88 @@ class BatchKey:
         )
 
 
+class InternedPattern:
+    """One CSR sparsity pattern shared by every request that carries it.
+
+    ``row_ptrs``/``col_idxs`` are read-only int32 views over immutable
+    bytes, and ``token`` is the SHA-1 prefix of those bytes, computed once.
+    """
+
+    __slots__ = ("row_bytes", "col_bytes", "row_ptrs", "col_idxs", "token")
+
+    def __init__(self, row_bytes: bytes, col_bytes: bytes) -> None:
+        self.row_bytes = row_bytes
+        self.col_bytes = col_bytes
+        self.row_ptrs = np.frombuffer(row_bytes, dtype=np.int32)
+        self.col_idxs = np.frombuffer(col_bytes, dtype=np.int32)
+        digest = hashlib.sha1(row_bytes)
+        digest.update(col_bytes)
+        self.token = digest.hexdigest()[:16]
+
+
+class PatternTable:
+    """A bounded, thread-safe LRU of interned sparsity patterns.
+
+    Patterns are filed under ``(num_rows, nnz)`` and matched by comparing
+    their bytes, so two patterns that agree on both numbers still get
+    separate entries. Past ``capacity`` patterns the least recently used
+    one is dropped; requests holding it keep their arrays.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"pattern table capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._chains: OrderedDict[tuple[int, int], list[InternedPattern]] = OrderedDict()
+        self._size = 0
+        self._lock = threading.Lock()
+
+    def intern(self, row_ptrs: np.ndarray, col_idxs: np.ndarray) -> InternedPattern:
+        """The shared entry for this int32 pattern (created on first sight)."""
+        row_bytes, col_bytes = row_ptrs.tobytes(), col_idxs.tobytes()
+        key = (row_ptrs.shape[0] - 1, col_idxs.shape[0])
+        with self._lock:
+            chain = self._chains.get(key)
+            if chain is None:
+                chain = self._chains[key] = []
+            else:
+                for entry in chain:
+                    if entry.row_bytes == row_bytes and entry.col_bytes == col_bytes:
+                        self._chains.move_to_end(key)
+                        return entry
+            entry = InternedPattern(row_bytes, col_bytes)
+            chain.append(entry)
+            self._chains.move_to_end(key)
+            self._size += 1
+            while self._size > self.capacity:
+                oldest_key = next(iter(self._chains))
+                oldest = self._chains[oldest_key]
+                oldest.pop(0)
+                self._size -= 1
+                if not oldest:
+                    del self._chains[oldest_key]
+            return entry
+
+    def __len__(self) -> int:
+        return self._size
+
+
+#: The process-wide pattern table every CSR/ELL request interns into.
+PATTERNS = PatternTable(capacity=256)
+
+
 class SolveRequest:
     """One linear system ``A x = b`` plus its solver configuration.
 
     ``a`` may be a dense 2-D ndarray or any scipy sparse matrix; sparse
-    inputs are normalized to CSR on construction (shared-pattern hashing
-    needs a canonical form). ``matrix_format`` forces the batched storage
-    format ("dense", "csr", "ell"); by default sparse inputs serve as CSR
-    and dense inputs as dense.
+    inputs are normalized to canonical CSR on construction (rows sorted,
+    explicit zeros dropped) and their pattern is interned in
+    :data:`PATTERNS`, so co-patterned requests share one read-only
+    ``row_ptrs``/``col_idxs`` pair; values are always copied.
+    ``matrix_format`` forces the batched storage format ("dense", "csr",
+    "ell"); by default sparse inputs serve as CSR and dense inputs as
+    dense. NaN or infinity in the matrix, ``b`` or ``x0`` raises
+    :class:`~repro.exceptions.NonFiniteInputError`.
     """
 
     __slots__ = (
@@ -153,13 +229,14 @@ class SolveRequest:
         self.max_iterations = int(max_iterations)
         self.precision = precision
 
-        self._ingest_matrix(a, matrix_format)
+        token = self._ingest_matrix(a, matrix_format)
 
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (self.num_rows,):
             raise DimensionMismatchError(
                 f"b must have shape ({self.num_rows},), got {b.shape}"
             )
+        _require_finite(b, "b")
         self.b = b
         if x0 is not None:
             x0 = np.asarray(x0, dtype=np.float64)
@@ -167,8 +244,9 @@ class SolveRequest:
                 raise DimensionMismatchError(
                     f"x0 must have shape ({self.num_rows},), got {x0.shape}"
                 )
+            _require_finite(x0, "x0")
         self.x0 = x0
-        self.batch_key = self._compute_key()
+        self.batch_key = self._compute_key(token)
         # every request is born with its own trace identity; upstream
         # callers that already carry one (a client retry, a multi-hop
         # pipeline) pass it in and the journey keeps one trace_id
@@ -181,7 +259,8 @@ class SolveRequest:
 
     # -- matrix normalization -----------------------------------------------
 
-    def _ingest_matrix(self, a: Any, matrix_format: str | None) -> None:
+    def _ingest_matrix(self, a: Any, matrix_format: str | None) -> str:
+        """Normalize the matrix; returns its pattern token."""
         if sp.issparse(a):
             fmt = matrix_format or "csr"
         else:
@@ -196,35 +275,38 @@ class SolveRequest:
         if fmt == "dense":
             dense = a.toarray() if sp.issparse(a) else a
             self.dense = np.ascontiguousarray(dense, dtype=np.float64)
+            _require_finite(self.dense, "request matrix")
             self.num_rows = self.dense.shape[0]
             self.row_ptrs = None
             self.col_idxs = None
             self.values = None
-        else:
-            # "csr" and "ell" both assemble through the shared-pattern CSR
-            # triplet; ELL conversion happens batch-wise at dispatch.
-            csr = sp.csr_matrix(a) if not sp.issparse(a) else a.tocsr()
-            if csr.shape[0] != csr.shape[1]:
-                raise DimensionMismatchError(
-                    f"request matrix must be square, got shape {csr.shape}"
-                )
+            return f"dense:{self.num_rows}"
+        # "csr" and "ell" both assemble through the shared-pattern CSR
+        # triplet; ELL conversion happens batch-wise at dispatch.
+        csr = sp.csr_matrix(a) if not sp.issparse(a) else a.tocsr()
+        if csr.shape[0] != csr.shape[1]:
+            raise DimensionMismatchError(
+                f"request matrix must be square, got shape {csr.shape}"
+            )
+        if not (csr.has_sorted_indices and csr.data.all()):
+            # not canonical: sort each row and drop explicit zeros (copies);
+            # canonical input is already what these two calls would produce
             csr = csr.sorted_indices()
             csr.eliminate_zeros()
-            if csr.nnz == 0:
-                raise BadSparsityPatternError("request matrix has no stored entries")
-            self.dense = None
-            self.num_rows = csr.shape[0]
-            self.row_ptrs = csr.indptr.astype(np.int32)
-            self.col_idxs = csr.indices.astype(np.int32)
-            self.values = csr.data.astype(np.float64)
+        if csr.nnz == 0:
+            raise BadSparsityPatternError("request matrix has no stored entries")
+        self.values = csr.data.astype(np.float64)
+        _require_finite(self.values, "request matrix")
+        pattern = PATTERNS.intern(
+            np.asarray(csr.indptr, dtype=np.int32), np.asarray(csr.indices, dtype=np.int32)
+        )
+        self.dense = None
+        self.num_rows = csr.shape[0]
+        self.row_ptrs = pattern.row_ptrs
+        self.col_idxs = pattern.col_idxs
+        return pattern.token
 
-    def _compute_key(self) -> BatchKey:
-        if self.matrix_format == "dense":
-            token = f"dense:{self.num_rows}"
-        else:
-            digest = hashlib.sha1(self.row_ptrs.tobytes())
-            digest.update(self.col_idxs.tobytes())
-            token = digest.hexdigest()[:16]
+    def _compute_key(self, token: str) -> BatchKey:
         return BatchKey(
             matrix_format=self.matrix_format,
             num_rows=self.num_rows,
@@ -244,6 +326,11 @@ class SolveRequest:
         )
 
 
+def _require_finite(array: np.ndarray, what: str) -> None:
+    if not np.isfinite(array).all():
+        raise NonFiniteInputError(f"{what} holds NaN or infinity")
+
+
 def assemble_batch(
     requests: list[SolveRequest],
 ) -> tuple[BatchedMatrix, np.ndarray, np.ndarray | None]:
@@ -254,7 +341,8 @@ def assemble_batch(
     any co-batched request has one). The caller guarantees the requests
     share a :class:`BatchKey`; the shared sparsity pattern is re-verified
     here against request 0 — a digest collision must not silently stack
-    values of different patterns.
+    values of different patterns. Requests holding request 0's interned
+    arrays pass by identity; any other request is compared element-wise.
     """
     if not requests:
         raise ValueError("assemble_batch needs at least one request")
@@ -262,18 +350,21 @@ def assemble_batch(
     if first.matrix_format == "dense":
         matrix: BatchedMatrix = BatchDense(np.stack([r.dense for r in requests]))
     else:
+        row_ptrs, col_idxs = first.row_ptrs, first.col_idxs
         for i, req in enumerate(requests[1:], start=1):
+            if req.row_ptrs is row_ptrs and req.col_idxs is col_idxs:
+                continue  # one interned pattern: the same arrays
             if not (
-                np.array_equal(req.row_ptrs, first.row_ptrs)
-                and np.array_equal(req.col_idxs, first.col_idxs)
+                np.array_equal(req.row_ptrs, row_ptrs)
+                and np.array_equal(req.col_idxs, col_idxs)
             ):
                 raise BadSparsityPatternError(
                     f"request {i} does not share the sparsity pattern of request 0 "
                     "(pattern-digest collision)"
                 )
         matrix = BatchCsr(
-            first.row_ptrs,
-            first.col_idxs,
+            row_ptrs,
+            col_idxs,
             np.stack([r.values for r in requests]),
             num_cols=first.num_rows,
         )

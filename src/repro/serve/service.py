@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from repro.exceptions import (
     ServiceSaturatedError,
 )
 from repro.multi.distributed import partition_batch
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Gauge, MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer, use_tracer
 from repro.recorder.classify import solve_summary
 from repro.recorder.recorder import (
@@ -84,6 +85,8 @@ from repro.sycl.device import SyclDevice, pvc_stack_device
 
 #: Chrome-trace lane base for intra-flush shards (matches repro.multi).
 _SHARD_LANE_BASE = 100
+#: Stands in for the per-request span when tracing is off.
+_NO_SPAN = nullcontext()
 
 
 class SolverService:
@@ -171,6 +174,21 @@ class SolverService:
             if self.config.breaker_enabled
             else None
         )
+        # the instruments every request or flush touches, resolved once
+        metrics = self.metrics
+        self._accepted = metrics.counter("serve.accepted")
+        self._served = metrics.counter("serve.served")
+        self._flushes = metrics.counter("serve.flushes")
+        self._pending_gauge = metrics.gauge("serve.pending")
+        self._tenant_pending_gauge = metrics.gauge("serve.tenant_pending")
+        self._tenant_gauges: dict[str, Gauge] = {}
+        self._batch_size = metrics.histogram("serve.batch_size")
+        self._queue_wait = metrics.histogram("serve.queue_wait_ms")
+        self._queue_wait_hdr = metrics.log_histogram("serve.queue_wait_hdr_ms")
+        self._latency = metrics.histogram("serve.latency_ms")
+        self._latency_hdr = metrics.log_histogram("serve.latency_hdr_ms")
+        self._flush_solve_hdr = metrics.log_histogram("serve.flush_solve_hdr_ms")
+        self._flush_solves = metrics.counter("serve.flush_solves")
         self._tracer = tracer
         self._pending = 0
         self._tenant_pending: dict[str, int] = {}
@@ -243,10 +261,8 @@ class SolverService:
                 )
             self._pending += 1
             self._tenant_pending[tenant] = tenant_pending + 1
-            self.metrics.gauge("serve.pending").set(self._pending)
-            self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
-                self._tenant_pending[tenant]
-            )
+            self._pending_gauge.set(self._pending)
+            self._tenant_gauge(tenant).set(tenant_pending + 1)
 
         now = monotonic_ns()
         timeout_ns = self.config.request_timeout_ns
@@ -255,7 +271,7 @@ class SolverService:
             submitted_ns=now,
             deadline_ns=None if timeout_ns is None else now + timeout_ns,
         )
-        self.metrics.counter("serve.accepted").inc()
+        self._accepted.inc()
         self.events.emit(
             REQUEST_ADMITTED,
             ctx=request.trace_context,
@@ -266,20 +282,19 @@ class SolverService:
         flush = self.batcher.offer(ticket)
         if flush is not None:
             self._dispatch(flush)
-        else:
+        with self._state:
             # Only an idle flusher needs waking: an armed one already waits
             # for the earliest deadline, and a bucket opened now is due later.
-            with self._state:
-                if self._flusher_idle:
-                    self._flusher_idle = False
-                    self._state.notify_all()
-        # close-race sweep: if close() ran between the admission check above
-        # and the offer, the flusher is gone and a parked ticket would hang
-        # forever. Whoever observes the race clears the stragglers — failed
-        # fast on an abort close, dispatched on a drain close (idempotent:
-        # finished tickets ignore further completion, and _dispatch fails
-        # tickets itself once the pool is shutting down).
-        with self._state:
+            if flush is None and self._flusher_idle:
+                self._flusher_idle = False
+                self._state.notify_all()
+            # close-race sweep: if close() ran between the admission check
+            # above and the offer, the flusher is gone and a parked ticket
+            # would hang forever. Whoever observes the race clears the
+            # stragglers — failed fast on an abort close, dispatched on a
+            # drain close (idempotent: finished tickets ignore further
+            # completion, and _dispatch fails tickets itself once the pool
+            # is shutting down).
             closed, abort = self._closed, self._abort_close
         if closed:
             if abort:
@@ -345,9 +360,9 @@ class SolverService:
                         ticket, ServiceClosedError("service closed before flush")
                     )
                 return
-        self.metrics.counter("serve.flushes").inc()
+        self._flushes.inc()
         self.metrics.counter(f"serve.flushes.{flush.reason}").inc()
-        self.metrics.histogram("serve.batch_size").observe(flush.size)
+        self._batch_size.observe(flush.size)
         self.pool.submit(lambda worker: self._execute_flush(flush, worker))
 
     def _fail_parked(self) -> None:
@@ -393,10 +408,8 @@ class SolverService:
                         )
                     else:
                         wait_ms = (now - ticket.submitted_ns) / 1e6
-                        self.metrics.histogram("serve.queue_wait_ms").observe(wait_ms)
-                        self.metrics.log_histogram("serve.queue_wait_hdr_ms").observe(
-                            wait_ms
-                        )
+                        self._queue_wait.observe(wait_ms)
+                        self._queue_wait_hdr.observe(wait_ms)
                         # batch fan-in: the shared flush span belongs to no
                         # single request, so it *links* every live request's
                         # root context (OpenTelemetry span links)
@@ -438,10 +451,8 @@ class SolverService:
                     ):
                         result = self._solve_batch(plan, matrix, b, x0, worker)
                     solve_ms = (monotonic_ns() - solve_start) / 1e6
-                    self.metrics.log_histogram("serve.flush_solve_hdr_ms").observe(
-                        solve_ms
-                    )
-                    self.metrics.counter("serve.flush_solves").labels(
+                    self._flush_solve_hdr.observe(solve_ms)
+                    self._flush_solves.labels(
                         backend=self.config.backend, solver=key.solver
                     ).inc()
                     if self.recorder is not None:
@@ -460,43 +471,82 @@ class SolverService:
                 )
 
                 with tracer.span("serve.scatter", category="serve", tid=worker.lane):
-                    # Slice every result before completing any ticket: the
-                    # slices release the GIL, so interleaving them with the
-                    # completions hands it to each woken caller in turn.
-                    sources = [
-                        overrides[i] if i in overrides else (result.select([i]), False)
-                        for i in range(len(live))
-                    ]
-                    for i, (ticket, (outcome_src, used_fallback)) in enumerate(
-                        zip(live, sources)
-                    ):
-                        # the per-request leg of the journey: pinned to the
-                        # request's own trace, inside the shared flush
-                        with tracer.span(
-                            "serve.request",
-                            category="serve.request",
-                            tid=worker.lane,
-                            context=ticket.trace_context,
-                            request_id=ticket.request.request_id,
-                            flush_id=flush.flush_id,
-                            index=i,
-                        ):
-                            self._finish_ok(
-                                ticket,
-                                SolveOutcome(
-                                    x=outcome_src.x[0],
-                                    iterations=int(outcome_src.iterations[0]),
-                                    residual_norm=float(outcome_src.residual_norms[0]),
-                                    converged=bool(outcome_src.converged[0]),
-                                    solver_name=outcome_src.solver_name,
-                                    used_fallback=used_fallback,
-                                    batch_size=len(live),
-                                    queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
-                                    solve_ms=solve_ms,
-                                    worker=worker.device_name,
-                                    plan_cache_hit=cache_hit,
-                                ),
-                            )
+                    self._complete_flush(
+                        live, result, overrides, solve_ms, cache_hit, worker, tracer, flush
+                    )
+
+    def _complete_flush(
+        self,
+        live: list[SolveTicket],
+        result: BatchSolveResult,
+        overrides: dict[int, BatchSolveResult],
+        solve_ms: float,
+        cache_hit: bool,
+        worker: Worker,
+        tracer,
+        flush: FlushBatch,
+    ) -> None:
+        """Scatter one flushed solve into outcomes and complete its tickets.
+
+        One pass: rows come straight out of the batch result, and the
+        tickets are released together under one ``_state`` acquisition.
+        """
+        # one row copy each, all taken before any ticket completes: the
+        # copies release the GIL, so interleaving them with the completions
+        # would hand it to each woken caller in turn
+        rows = list(
+            zip(
+                [row.copy() for row in result.x],
+                result.iterations.tolist(),
+                result.residual_norms.tolist(),
+                result.converged.tolist(),
+            )
+        )
+        for i, fallback in overrides.items():
+            rows[i] = (
+                fallback.x[0],
+                int(fallback.iterations[0]),
+                float(fallback.residual_norms[0]),
+                bool(fallback.converged[0]),
+            )
+        traced = tracer.enabled
+        delivered: list[SolveTicket] = []
+        for i, (ticket, (x, iterations, residual, converged)) in enumerate(zip(live, rows)):
+            if ticket.done():  # failed or shed on the fallback path
+                continue
+            used_fallback = i in overrides
+            outcome = SolveOutcome(
+                x=x,
+                iterations=iterations,
+                residual_norm=residual,
+                converged=converged,
+                solver_name=overrides[i].solver_name if used_fallback else result.solver_name,
+                used_fallback=used_fallback,
+                batch_size=len(live),
+                queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
+                solve_ms=solve_ms,
+                worker=worker.device_name,
+                plan_cache_hit=cache_hit,
+            )
+            # the per-request leg of the journey: pinned to the request's
+            # own trace, inside the shared flush
+            span = (
+                tracer.span(
+                    "serve.request",
+                    category="serve.request",
+                    tid=worker.lane,
+                    context=ticket.trace_context,
+                    request_id=ticket.request.request_id,
+                    flush_id=flush.flush_id,
+                    index=i,
+                )
+                if traced
+                else _NO_SPAN
+            )
+            with span:
+                self._deliver_ok(ticket, outcome)
+            delivered.append(ticket)
+        self._release(delivered)
 
     def _record_forensics(
         self,
@@ -780,15 +830,14 @@ class SolverService:
         worker: Worker,
         tracer,
         flush: FlushBatch | None = None,
-    ) -> dict[int, tuple[BatchSolveResult, bool]]:
+    ) -> dict[int, BatchSolveResult]:
         """Retry non-converged systems one-by-one with the direct-LU solver.
 
-        Returns per-index overrides; failed retries complete their tickets
-        here (and are returned as overrides pointing at the iterative
-        result so the scatter loop skips them — finished tickets ignore
-        further completion).
+        Returns the one-system fallback results by batch index; failed or
+        shed retries complete their tickets here, and the scatter skips
+        finished tickets.
         """
-        overrides: dict[int, tuple[BatchSolveResult, bool]] = {}
+        overrides: dict[int, BatchSolveResult] = {}
         if not self.config.fallback:
             return overrides
         bad = [i for i in range(len(live)) if not bool(result.converged[i])]
@@ -799,7 +848,6 @@ class SolverService:
             # fast instead of amplifying overload with per-request LU solves
             for i in bad:
                 self._shed_degraded(live[i])
-                overrides[i] = (result.select([i]), False)
             return overrides
         fallback_key = dc_replace(
             live[0].request.batch_key, solver="direct", preconditioner="identity"
@@ -824,7 +872,6 @@ class SolverService:
                     if self.breaker is not None:
                         self.breaker.record(bad=True)
                     self._finish_fail(live[i], exc)
-                    overrides[i] = (result.select([i]), False)
                     continue
             self.metrics.counter("serve.fallbacks").inc()
             self.events.emit(
@@ -834,7 +881,7 @@ class SolverService:
                 reason="not_converged",
                 flush_id=flush.flush_id if flush is not None else "",
             )
-            overrides[i] = (fallback_result, True)
+            overrides[i] = fallback_result
         return overrides
 
     def _rescue_flush(
@@ -932,20 +979,28 @@ class SolverService:
     # -- completion --------------------------------------------------------------------
 
     def _finish_ok(self, ticket: SolveTicket, outcome: SolveOutcome) -> None:
+        if self._deliver_ok(ticket, outcome):
+            self._release([ticket])
+
+    def _deliver_ok(self, ticket: SolveTicket, outcome: SolveOutcome) -> bool:
+        """Complete one ticket successfully; False if it already finished.
+
+        The caller releases its admission slot (:meth:`_release`).
+        """
         if ticket.done():
-            return
+            return False
         if self.breaker is not None:
             self.breaker.record(bad=outcome.used_fallback)
         ctx = ticket.trace_context
         outcome.trace_id = ctx.trace_id
         outcome.request_id = ctx.request_id
-        self.metrics.counter("serve.served").inc()
+        self._served.inc()
         latency_ms = (monotonic_ns() - ticket.submitted_ns) / 1e6
-        hdr = self.metrics.log_histogram("serve.latency_hdr_ms")
+        hdr = self._latency_hdr
         # tail-based sampling: judge against the p99 *before* folding this
         # sample in, once enough history exists to make p99 meaningful
         tail = hdr.count >= 64 and latency_ms >= hdr.percentile(99.0)
-        self.metrics.histogram("serve.latency_ms").observe(latency_ms)
+        self._latency.observe(latency_ms)
         # HDR-style streaming twin: bounded memory, mergeable, and what the
         # Prometheus exposition renders as a classic histogram — with the
         # trace id as the bucket's exemplar, so p99 names a real request
@@ -962,7 +1017,7 @@ class SolverService:
             tail=tail,
         )
         ticket._complete(outcome)
-        self._release_one(ticket)
+        return True
 
     def _finish_fail(self, ticket: SolveTicket, error: Exception, status: str = "failed") -> None:
         if ticket.done():
@@ -987,24 +1042,37 @@ class SolverService:
                 status_code=status_code,
             )
         ticket._fail(error, status=status)
-        self._release_one(ticket)
+        self._release([ticket])
 
-    def _release_one(self, ticket: SolveTicket) -> None:
-        tenant = getattr(ticket.request, "tenant", "default")
+    def _release(self, tickets: list[SolveTicket]) -> None:
+        """Free the admission slots of finished tickets (one lock hold)."""
+        if not tickets:
+            return
+        per_tenant: dict[str, int] = {}
+        for ticket in tickets:
+            tenant = getattr(ticket.request, "tenant", "default")
+            per_tenant[tenant] = per_tenant.get(tenant, 0) + 1
         with self._state:
-            self._pending -= 1
-            remaining = self._tenant_pending.get(tenant, 1) - 1
-            if remaining <= 0:
-                self._tenant_pending.pop(tenant, None)
-                remaining = 0
-            else:
-                self._tenant_pending[tenant] = remaining
-            self.metrics.gauge("serve.pending").set(self._pending)
-            self.metrics.gauge("serve.tenant_pending").labels(tenant=tenant).set(
-                remaining
-            )
+            self._pending -= len(tickets)
+            for tenant, count in per_tenant.items():
+                remaining = self._tenant_pending.get(tenant, count) - count
+                if remaining <= 0:
+                    self._tenant_pending.pop(tenant, None)
+                    remaining = 0
+                else:
+                    self._tenant_pending[tenant] = remaining
+                self._tenant_gauge(tenant).set(remaining)
+            self._pending_gauge.set(self._pending)
             if self._pending == 0:
                 self._state.notify_all()  # wakes wait_idle
+
+    def _tenant_gauge(self, tenant: str) -> Gauge:
+        """The ``serve.tenant_pending`` child of one tenant (cached)."""
+        gauge = self._tenant_gauges.get(tenant)
+        if gauge is None:
+            gauge = self._tenant_pending_gauge.labels(tenant=tenant)
+            self._tenant_gauges[tenant] = gauge
+        return gauge
 
     # -- lifecycle ---------------------------------------------------------------------
 

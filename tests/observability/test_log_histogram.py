@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import (
     Counter,
@@ -94,6 +96,76 @@ class TestLogHistogram:
         assert counts[-1] == h.count
         uppers = [u for u, _ in bounds]
         assert uppers == sorted(uppers)
+
+
+def _reference_percentile(h: LogHistogram, p: float) -> float:
+    """The percentile walk before the bucket keys were kept sorted: it
+    re-sorted every bucket index on each call. Kept as the reference."""
+    if h._count == 0:
+        return math.nan
+    if p == 0.0:
+        return h._min
+    rank = math.ceil(p / 100.0 * h._count)
+    seen = h._zero
+    if rank <= seen:
+        return 0.0
+    for idx in sorted(h._buckets):
+        seen += h._buckets[idx]
+        if rank <= seen:
+            mid = h.growth ** (idx + 0.5)
+            return min(max(mid, h._min), h._max)
+    return h._max
+
+
+def _reference_exemplar_for(h: LogHistogram, p: float):
+    if h._count == 0 or not h._exemplars or not h._buckets:
+        return None
+    rank = max(1, math.ceil(p / 100.0 * h._count))
+    seen = h._zero
+    if rank <= seen:
+        return None
+    target = max(h._buckets)
+    for idx in sorted(h._buckets):
+        seen += h._buckets[idx]
+        if rank <= seen:
+            target = idx
+            break
+    candidates = [idx for idx in h._exemplars if idx <= target]
+    return h._exemplars[max(candidates)] if candidates else None
+
+
+# latencies spanning many buckets, with zeros and negatives (underflow)
+_SAMPLES = st.one_of(
+    st.just(0.0),
+    st.floats(-5.0, 0.0),
+    st.floats(1e-4, 1e5, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestSortedKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(_SAMPLES, st.booleans(), st.booleans()), max_size=120),
+        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=12),
+    )
+    def test_matches_the_resorting_walk(self, stream, percentiles):
+        left, right = LogHistogram("l"), LogHistogram("r")
+        for i, (value, to_right, traced) in enumerate(stream):
+            (right if to_right else left).observe(value, trace_id=f"t{i}" if traced else None)
+            for h in (left, right):
+                assert h._keys == sorted(h._buckets)
+        left.merge(right)
+        assert left._keys == sorted(left._buckets)
+        for p in percentiles + [0.0, 50.0, 99.0, 100.0]:
+            expected = _reference_percentile(left, p)
+            got = left.percentile(p)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+            assert left.exemplar_for(p) == _reference_exemplar_for(left, p)
+        cumulative, bounds = left._zero, [(0.0, left._zero)] if left._zero else []
+        for idx in sorted(left._buckets):
+            cumulative += left._buckets[idx]
+            bounds.append((left.growth ** (idx + 1), cumulative))
+        assert left.bucket_bounds() == bounds
 
 
 class TestLabels:

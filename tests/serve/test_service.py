@@ -1,5 +1,7 @@
 """SolverService end-to-end: correctness, backpressure, timeouts, fallback."""
 
+import hashlib
+import sys
 import threading
 import time
 
@@ -7,14 +9,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.solver.base import BatchSolveResult
 from repro.exceptions import (
+    NonFiniteInputError,
     RequestTimeoutError,
     ServiceClosedError,
     ServiceSaturatedError,
 )
+from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
 from repro.serve import ServeConfig, SolveRequest, SolverService
-from repro.serve.request import TIMED_OUT
+from repro.serve import request as request_module
+from repro.serve import service as service_module
+from repro.serve.request import TIMED_OUT, PatternTable
 
 
 def _tridiag(n, scale=1.0):
@@ -294,3 +301,128 @@ class TestWakeups:
             outcomes = [first.result(timeout=5.0), second.result(timeout=5.0)]
         assert [o.batch_size for o in outcomes] == [1, 1]
         assert service.metrics.counter("serve.flushes.deadline").value == 2
+
+
+class TestNonFiniteAdmission:
+    def test_non_finite_request_never_reaches_the_service(self):
+        config = ServeConfig(max_batch_size=2, max_wait_ms=5.0, num_workers=1)
+        with SolverService(config) as service:
+            offered = []
+            offer = service.batcher.offer
+            service.batcher.offer = lambda ticket: offered.append(ticket) or offer(ticket)
+            poisoned = _tridiag(8)
+            poisoned.data[4] = np.nan
+            with pytest.raises(NonFiniteInputError):
+                service.submit(SolveRequest(poisoned, np.ones(8)))
+            with pytest.raises(NonFiniteInputError):
+                service.submit(SolveRequest(_tridiag(8), np.full(8, np.inf)))
+            assert offered == [] and service.pending == 0
+            healthy = service.submit(SolveRequest(_tridiag(8), np.ones(8)))
+            assert healthy.result(timeout=30.0).used_fallback is False
+        metrics = service.metrics
+        assert metrics.counter("serve.accepted").value == 1
+        assert metrics.counter("serve.flushes").value == 1
+        assert "serve.fallbacks" not in metrics and "serve.failed" not in metrics
+        assert [e["type"] for e in service.events.records()].count("request.admitted") == 1
+
+
+class _CountingCondition(threading.Condition):
+    """Records which function enters the condition, one name per ``with``."""
+
+    def __init__(self, lock=None):
+        super().__init__(lock)
+        self.entered_by = []
+
+    def __enter__(self):
+        self.entered_by.append(sys._getframe(1).f_code.co_name)
+        return super().__enter__()
+
+
+class TestHotPathWork:
+    """What one 64-request flush of one pattern costs, counted not timed."""
+
+    def test_one_flush_of_co_patterned_requests(self, monkeypatch):
+        n, batch = 24, 64
+        monkeypatch.setattr(request_module, "PATTERNS", PatternTable(capacity=8))
+        sha1_calls = []
+        real_sha1 = hashlib.sha1
+
+        def counting_sha1(*args):
+            sha1_calls.append(1)
+            return real_sha1(*args)
+
+        monkeypatch.setattr(request_module.hashlib, "sha1", counting_sha1)
+        with monkeypatch.context() as construct:
+            construct.setattr(service_module.threading, "Condition", _CountingCondition)
+            service = SolverService(
+                ServeConfig(max_batch_size=batch, max_wait_ms=60_000.0, num_workers=1)
+            )
+        rng = np.random.default_rng(7)
+
+        def step():
+            requests = [
+                SolveRequest(_tridiag(n, rng.uniform(1.0, 2.0)), rng.standard_normal(n))
+                for _ in range(batch)
+            ]
+            tickets = [service.submit(r) for r in requests]
+            return [t.result(timeout=30.0) for t in tickets]
+
+        def one_request_flush():
+            ticket = service.submit(SolveRequest(_tridiag(n), np.ones(n)))
+            service.flush()
+            ticket.result(timeout=30.0)
+
+        try:
+            step()  # warm-up: plan cache, instruments, interned pattern
+            one_request_flush()
+            assert sha1_calls == [1]
+
+            lookups = []
+            get_or_create = MetricsRegistry._get_or_create
+            monkeypatch.setattr(
+                MetricsRegistry,
+                "_get_or_create",
+                lambda registry, name, cls: lookups.append(name)
+                or get_or_create(registry, name, cls),
+            )
+            one_request_flush()
+            per_flush = list(lookups)
+
+            equal_calls = []
+            array_equal = np.array_equal
+
+            def counting_array_equal(*args, **kwargs):
+                if sys._getframe(1).f_code.co_name == "assemble_batch":
+                    equal_calls.append(1)
+                return array_equal(*args, **kwargs)
+
+            monkeypatch.setattr(np, "array_equal", counting_array_equal)
+
+            def no_select(*_args, **_kwargs):
+                raise AssertionError("select() on the healthy scatter path")
+
+            monkeypatch.setattr(BatchSolveResult, "select", no_select)
+            lookups.clear()
+            service._state.entered_by.clear()
+            outcomes = step()
+            assert service.wait_idle(timeout=30.0)
+        finally:
+            service.close()
+
+        assert sha1_calls == [1]
+        assert equal_calls == []
+        # the registry is asked per flush (the flush-reason counter and the
+        # plan-cache hit), never per request
+        assert len(lookups) == len(per_flush) == 2
+        completions = [
+            name
+            for name in service._state.entered_by
+            if name not in ("submit", "_dispatch", "_flush_loop", "wait_idle", "close")
+        ]
+        assert completions == ["_release"]
+        assert all(o.batch_size == batch and not o.used_fallback for o in outcomes)
+        for i, outcome in enumerate(outcomes):
+            # a row copy each: holding one outcome does not pin the batch
+            assert outcome.x.flags.owndata
+            for other in outcomes[i + 1 :]:
+                assert not np.shares_memory(outcome.x, other.x)
