@@ -76,8 +76,10 @@ def run_sweep_point(
         outcomes = [t.result(timeout=120.0) for t in tickets]
         makespan_s = time.perf_counter() - start
 
-        latency = service.metrics.histogram("serve.latency_ms")
-        batch_sizes = service.metrics.histogram("serve.batch_size")
+        # streaming log histograms: exact means, percentiles within one
+        # bucket (a factor of LogHistogram.DEFAULT_GROWTH)
+        latency = service.metrics.log_histogram("serve.latency_hdr_ms")
+        batch_sizes = service.metrics.log_histogram("serve.batch_size")
         flushes = service.metrics.counter("serve.flushes").value
         fallbacks = service.metrics.counter("serve.fallbacks").value
         hit_rate = service.plan_cache.hit_rate

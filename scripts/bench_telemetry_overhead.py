@@ -209,7 +209,7 @@ def bench_serve(num_requests: int, size: int) -> dict:
     """End-to-end serve comparison: sampling off vs everything on."""
     import numpy as np
 
-    from repro.observability import Tracer, use_tracer
+    from repro.observability import Tracer
     from repro.serve import ServeConfig, SolveRequest, SolverService
     from repro.workloads.stencil import three_point_stencil
 
@@ -223,27 +223,26 @@ def bench_serve(num_requests: int, size: int) -> dict:
             telemetry_sample_rate=sample_rate,
         )
         rng = np.random.default_rng(11)
-        with use_tracer(tracer) if tracer is not None else _null_cm():
-            with SolverService(config) as service:
-                start = time.perf_counter()
-                tickets = []
-                for _ in range(num_requests):
-                    values = pattern.copy()
-                    values.data = values.data * rng.uniform(0.9, 1.1, size=values.nnz)
-                    tickets.append(
-                        service.submit(
-                            SolveRequest(
-                                values,
-                                rng.standard_normal(size),
-                                solver="bicgstab",
-                                preconditioner="jacobi",
-                                tolerance=1e-8,
-                            )
+        with SolverService(config, tracer=tracer) as service:
+            start = time.perf_counter()
+            tickets = []
+            for _ in range(num_requests):
+                values = pattern.copy()
+                values.data = values.data * rng.uniform(0.9, 1.1, size=values.nnz)
+                tickets.append(
+                    service.submit(
+                        SolveRequest(
+                            values,
+                            rng.standard_normal(size),
+                            solver="bicgstab",
+                            preconditioner="jacobi",
+                            tolerance=1e-8,
                         )
                     )
-                for ticket in tickets:
-                    ticket.result(timeout=60.0)
-                elapsed = time.perf_counter() - start
+                )
+            for ticket in tickets:
+                ticket.result(timeout=60.0)
+            elapsed = time.perf_counter() - start
         return elapsed
 
     off_s = run(0.0, None)
@@ -254,16 +253,6 @@ def bench_serve(num_requests: int, size: int) -> dict:
         "on_per_request_ms": on_s / num_requests * 1e3,
         "enabled_overhead_pct": 100.0 * (on_s - off_s) / off_s,
     }
-
-
-class _null_cm:
-    """``with`` no-op for the tracer-less serve run."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -610,7 +610,7 @@ def _cmd_trace(argv: list[str]) -> int:
     from repro.observability import (
         Tracer,
         format_summary,
-        use_tracer,
+        set_tracer,
         write_chrome_trace,
         write_jsonl,
     )
@@ -623,9 +623,10 @@ def _cmd_trace(argv: list[str]) -> int:
         )
 
     tracer = Tracer()
+    # process-wide, so the wrapped command's worker threads record too
+    previous = set_tracer(tracer)
     try:
-        with use_tracer(tracer):
-            code = main(rest)
+        code = main(rest)
     except SystemExit as exc:  # argparse errors, explicit exits in wrapped cmds
         if exc.code is None:
             code = 0
@@ -637,6 +638,8 @@ def _cmd_trace(argv: list[str]) -> int:
     except Exception:
         traceback.print_exc()
         code = 1
+    finally:
+        set_tracer(previous)
 
     path = write_chrome_trace(tracer, options["trace_out"])
     if options["jsonl_out"]:

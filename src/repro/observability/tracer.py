@@ -13,7 +13,7 @@ asks :func:`current_tracer` for the installed tracer and gets
 :data:`NULL_TRACER` — whose every method is a no-op returning shared
 singletons — when tracing is off. Public solve APIs additionally accept an
 opt-in ``tracer=`` argument which they install via :func:`use_tracer` for
-the duration of the call.
+the duration of the call, in the calling context only.
 
 Thread safety: finished records append under a lock; the *open-span stack*
 lives in a :class:`contextvars.ContextVar`, so concurrent solves on
@@ -466,16 +466,28 @@ NULL_TRACER = NullTracer()
 
 _install_lock = threading.Lock()
 _installed: Tracer = NULL_TRACER
+#: The tracer a :func:`use_tracer` scope installed for the calling
+#: execution context; it shadows the process-wide one.
+_SCOPED: contextvars.ContextVar[Tracer | None] = contextvars.ContextVar(
+    "repro_tracer", default=None
+)
 
 
 def current_tracer() -> Tracer:
-    """The installed tracer, or :data:`NULL_TRACER` when tracing is off."""
-    return _installed
+    """The installed tracer, or :data:`NULL_TRACER` when tracing is off.
+
+    A :func:`use_tracer` scope of the calling context wins over the
+    process-wide :func:`set_tracer` value.
+    """
+    scoped = _SCOPED.get()
+    return _installed if scoped is None else scoped
 
 
 def set_tracer(tracer: Tracer | None) -> Tracer:
     """Install ``tracer`` process-wide; returns the previously installed one.
 
+    Every thread sees it (unless a :func:`use_tracer` scope shadows it),
+    which is what a whole-program wrapper such as ``repro trace`` needs.
     ``None`` uninstalls (equivalent to installing :data:`NULL_TRACER`).
     """
     global _installed
@@ -488,26 +500,33 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
 class _UseTracer:
     """Context manager installing a tracer for a scope (re-entrant)."""
 
-    __slots__ = ("tracer", "_previous")
+    __slots__ = ("tracer", "_token")
 
     def __init__(self, tracer: Tracer | None) -> None:
         self.tracer = tracer
-        self._previous: Tracer | None = None
+        self._token: contextvars.Token | None = None
 
     def __enter__(self) -> Tracer:
         if self.tracer is None:  # "no change" — keep whatever is installed
-            self._previous = None
             return current_tracer()
-        self._previous = set_tracer(self.tracer)
+        self._token = _SCOPED.set(self.tracer)
         return self.tracer
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.tracer is not None and self._previous is not None:
-            set_tracer(self._previous)
+        if self._token is not None:
+            _SCOPED.reset(self._token)
+            self._token = None
 
 
 def use_tracer(tracer: Tracer | None) -> _UseTracer:
     """Install ``tracer`` for a ``with`` scope, restoring the previous one.
+
+    The install is scoped to the calling execution context (a
+    :class:`contextvars.ContextVar`), so concurrent scopes on different
+    threads never see or undo each other's tracer. Work handed to another
+    thread sees it only if that thread runs in a copy of this context
+    (as :class:`~repro.serve.workers.WorkerPool` jobs do); a tracer every
+    thread must see is installed with :func:`set_tracer` instead.
 
     ``use_tracer(None)`` is a cheap no-op scope (keeps the current tracer)
     so call sites can unconditionally write

@@ -41,7 +41,6 @@ from repro.exceptions import (
     ServiceClosedError,
     ServiceSaturatedError,
 )
-from repro.multi.distributed import partition_batch
 from repro.observability.metrics import Gauge, MetricsRegistry
 from repro.observability.tracer import Tracer, current_tracer, use_tracer
 from repro.recorder.classify import solve_summary
@@ -83,8 +82,6 @@ from repro.serve.request import (
 from repro.serve.workers import Worker, WorkerPool
 from repro.sycl.device import SyclDevice, pvc_stack_device
 
-#: Chrome-trace lane base for intra-flush shards (matches repro.multi).
-_SHARD_LANE_BASE = 100
 #: Stands in for the per-request span when tracing is off.
 _NO_SPAN = nullcontext()
 
@@ -99,8 +96,9 @@ class SolverService:
             outcomes = [t.result(timeout=5.0) for t in tickets]
 
     A ``tracer`` passed here is installed for the duration of every flush
-    execution, so traces show queue-wait, assembly, solve and scatter
-    spans on per-worker lanes.
+    execution, in that flush's own context only, so traces show
+    queue-wait, assembly, solve and scatter spans on per-worker lanes
+    while concurrent flushes never install or remove each other's tracer.
     """
 
     def __init__(
@@ -182,10 +180,8 @@ class SolverService:
         self._pending_gauge = metrics.gauge("serve.pending")
         self._tenant_pending_gauge = metrics.gauge("serve.tenant_pending")
         self._tenant_gauges: dict[str, Gauge] = {}
-        self._batch_size = metrics.histogram("serve.batch_size")
-        self._queue_wait = metrics.histogram("serve.queue_wait_ms")
+        self._batch_size = metrics.log_histogram("serve.batch_size")
         self._queue_wait_hdr = metrics.log_histogram("serve.queue_wait_hdr_ms")
-        self._latency = metrics.histogram("serve.latency_ms")
         self._latency_hdr = metrics.log_histogram("serve.latency_hdr_ms")
         self._flush_solve_hdr = metrics.log_histogram("serve.flush_solve_hdr_ms")
         self._flush_solves = metrics.counter("serve.flush_solves")
@@ -408,7 +404,6 @@ class SolverService:
                         )
                     else:
                         wait_ms = (now - ticket.submitted_ns) / 1e6
-                        self._queue_wait.observe(wait_ms)
                         self._queue_wait_hdr.observe(wait_ms)
                         # batch fan-in: the shared flush span belongs to no
                         # single request, so it *links* every live request's
@@ -463,7 +458,7 @@ class SolverService:
                     self.metrics.counter("serve.flush_failures").inc()
                     span.set("error", type(exc).__name__)
                     self._attribute_failure(exc, live, flush)
-                    self._rescue_flush(live, exc, worker, cache_hit=False)
+                    self._rescue_flush(live, exc, worker, tracer)
                     return
 
                 overrides = self._apply_fallbacks(
@@ -579,20 +574,10 @@ class SolverService:
                 trace_ids=trace_ids,
             )
             logger = result.logger
-            curves = logger.residual_curves()
-            frozen = logger.frozen
-            if len(curves) != result.num_batch:
-                # sharded flush: the logger covers shard 0 only; degrade
-                # to single-point curves so classes still line up 1:1
-                curves = [
-                    np.asarray([result.residual_norms[i]])
-                    for i in range(result.num_batch)
-                ]
-                frozen = np.zeros(result.num_batch, dtype=bool)
             summary = solve_summary(
-                curves,
+                logger.residual_curves(),
                 converged=result.converged,
-                frozen=frozen,
+                frozen=logger.frozen,
                 iterations=result.iterations,
                 max_iterations=getattr(plan.resolved, "max_iterations", 0),
                 solver=result.solver_name,
@@ -655,12 +640,9 @@ class SolverService:
     ) -> BatchSolveResult:
         """Solve one assembled flush on the worker's device context.
 
-        The solve runs as a host task on the worker's queue/stream (so it
-        lands in the device event log); large flushes are optionally
-        block-partitioned across simulated device lanes, the paper's
-        multi-GPU distribution applied within a flush.
+        The solve runs as a host task on the worker's queue/stream, so it
+        lands in the device event log: one launch for the whole flush.
         """
-        shards = self.config.shards_per_flush
         key = plan.resolved
 
         if self.config.execution == "kernel":
@@ -682,37 +664,8 @@ class SolverService:
                 solver=key.solver_cls.solver_name
             ).inc()
 
-        def run() -> BatchSolveResult:
-            if shards <= 1 or matrix.num_batch < shards:
-                solver = plan.build_solver(matrix)
-                return solver.solve(b, x0=x0)
-            tracer = current_tracer()
-            parts = partition_batch(matrix.num_batch, shards)
-            results = []
-            for rank, sl in enumerate(parts):
-                with tracer.span(
-                    f"serve.shard{rank}",
-                    category="serve.lane",
-                    tid=_SHARD_LANE_BASE + rank,
-                    rank=rank,
-                    batch_items=sl.stop - sl.start,
-                ):
-                    solver = plan.build_solver(matrix.take_batch(sl))
-                    results.append(
-                        solver.solve(b[sl], x0=None if x0 is None else x0[sl])
-                    )
-            return BatchSolveResult(
-                x=np.vstack([r.x for r in results]),
-                iterations=np.concatenate([r.iterations for r in results]),
-                residual_norms=np.concatenate([r.residual_norms for r in results]),
-                converged=np.concatenate([r.converged for r in results]),
-                logger=results[0].logger,
-                ledger=results[0].ledger,
-                solver_name=results[0].solver_name,
-            )
-
         result, _event = worker.context.submit_host_task(
-            run,
+            lambda: plan.build_solver(matrix).solve(b, x0=x0),
             name=f"serve.batch_{key.solver_cls.solver_name}",
             num_batch=matrix.num_batch,
         )
@@ -723,7 +676,7 @@ class SolverService:
         """Hold the worker's device busy for the configured dwell.
 
         A real sleep so it releases the GIL — the device-bound part of a
-        flush overlaps across shards/workers the way real device kernels
+        flush overlaps across workers the way real device kernels
         overlap with the host (see ``ServeConfig.device_dwell_ms``).
         """
         dwell = self.config.device_dwell_s
@@ -741,7 +694,7 @@ class SolverService:
 
         Returns ``None`` when the resolved dispatch falls outside what the
         fused kernels cover (solver, preconditioner, criterion, format,
-        warm starts, sharding) or the worker context speaks the CUDA
+        warm starts) or the worker context speaks the CUDA
         dialect — the caller then falls back to the vectorized path and
         counts the miss on ``serve.kernel_fallbacks``.
         """
@@ -763,7 +716,6 @@ class SolverService:
             or resolved.matrix_format != "csr"
             or resolved.criterion_cls is not RelativeResidual
             or resolved.preconditioner_cls not in (None, BatchIdentity, BatchJacobi)
-            or self.config.shards_per_flush > 1
             or not isinstance(worker.context, Queue)
         ):
             return None
@@ -829,7 +781,7 @@ class SolverService:
         result: BatchSolveResult,
         worker: Worker,
         tracer,
-        flush: FlushBatch | None = None,
+        flush: FlushBatch,
     ) -> dict[int, BatchSolveResult]:
         """Retry non-converged systems one-by-one with the direct-LU solver.
 
@@ -849,43 +801,22 @@ class SolverService:
             for i in bad:
                 self._shed_degraded(live[i])
             return overrides
-        fallback_key = dc_replace(
-            live[0].request.batch_key, solver="direct", preconditioner="identity"
-        )
-        plan, _hit = self.plan_cache.plan_for(fallback_key)
         for i in bad:
-            ctx = live[i].trace_context
-            with tracer.span(
-                "serve.fallback",
-                category="serve",
-                tid=worker.lane,
-                context=ctx,
-                index=i,
-                solver="direct",
-                request_id=live[i].request.request_id,
-            ):
-                try:
-                    solver = plan.build_solver(matrix.take_batch(slice(i, i + 1)))
-                    fallback_result = solver.solve(b[i : i + 1])
-                except Exception as exc:
-                    self.metrics.counter("serve.fallback_failures").inc()
-                    if self.breaker is not None:
-                        self.breaker.record(bad=True)
-                    self._finish_fail(live[i], exc)
-                    continue
-            self.metrics.counter("serve.fallbacks").inc()
-            self.events.emit(
-                REQUEST_FALLBACK,
-                ctx=ctx,
-                critical=True,
+            fallback = self._fallback_solve(
+                live[i],
+                i,
+                worker,
+                tracer,
+                batch=(matrix, b),
                 reason="not_converged",
-                flush_id=flush.flush_id if flush is not None else "",
+                flush_id=flush.flush_id,
             )
-            overrides[i] = fallback_result
+            if fallback is not None:
+                overrides[i] = fallback
         return overrides
 
     def _rescue_flush(
-        self, live: list[SolveTicket], error: Exception, worker: Worker, cache_hit: bool
+        self, live: list[SolveTicket], error: Exception, worker: Worker, tracer
     ) -> None:
         """Whole-flush failure: retry each request alone with the fallback."""
         if not self.config.fallback:
@@ -896,45 +827,87 @@ class SolverService:
             for ticket in live:
                 self._shed_degraded(ticket)
             return
-        for ticket in live:
+        delivered: list[SolveTicket] = []
+        for i, ticket in enumerate(live):
+            # batch=None: the failed flush's arrays may be corrupt, so the
+            # system is re-assembled from the request itself
+            result = self._fallback_solve(
+                ticket,
+                i,
+                worker,
+                tracer,
+                batch=None,
+                reason="flush_failed",
+                error=type(error).__name__,
+            )
+            if result is None:
+                continue
+            outcome = SolveOutcome(
+                x=result.x[0],
+                iterations=int(result.iterations[0]),
+                residual_norm=float(result.residual_norms[0]),
+                converged=bool(result.converged[0]),
+                solver_name=result.solver_name,
+                used_fallback=True,
+                batch_size=1,
+                queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
+                solve_ms=0.0,
+                worker=worker.device_name,
+                plan_cache_hit=False,
+            )
+            if self._deliver_ok(ticket, outcome):
+                delivered.append(ticket)
+        self._release(delivered)
+
+    def _fallback_solve(
+        self,
+        ticket: SolveTicket,
+        index: int,
+        worker: Worker,
+        tracer,
+        batch: tuple | None,
+        **event,
+    ) -> BatchSolveResult | None:
+        """Solve one request's system alone with the direct-LU fallback.
+
+        ``batch`` is the flush's assembled ``(matrix, b)``, of which system
+        ``index`` is solved; ``None`` re-assembles the system from the
+        request. On success counts ``serve.fallbacks``, emits
+        ``REQUEST_FALLBACK`` with the ``event`` fields and returns the
+        one-system result. On failure counts ``serve.fallback_failures``,
+        records a bad outcome with the breaker, fails the ticket and
+        returns ``None``.
+        """
+        ctx = ticket.trace_context
+        with tracer.span(
+            "serve.fallback",
+            category="serve",
+            tid=worker.lane,
+            context=ctx,
+            index=index,
+            solver="direct",
+            request_id=ticket.request.request_id,
+        ):
             try:
-                matrix, b, _x0 = assemble_batch([ticket.request])
-                fallback_key = dc_replace(
+                if batch is None:
+                    matrix, b, _x0 = assemble_batch([ticket.request])
+                else:
+                    matrix = batch[0].take_batch(slice(index, index + 1))
+                    b = batch[1][index : index + 1]
+                key = dc_replace(
                     ticket.request.batch_key, solver="direct", preconditioner="identity"
                 )
-                plan, _hit = self.plan_cache.plan_for(fallback_key)
-                solver = plan.build_solver(matrix)
-                result = solver.solve(b)
+                plan, _hit = self.plan_cache.plan_for(key)
+                result = plan.build_solver(matrix).solve(b)
             except Exception as exc:
                 self.metrics.counter("serve.fallback_failures").inc()
                 if self.breaker is not None:
                     self.breaker.record(bad=True)
                 self._finish_fail(ticket, exc)
-                continue
-            self.metrics.counter("serve.fallbacks").inc()
-            self.events.emit(
-                REQUEST_FALLBACK,
-                ctx=ticket.trace_context,
-                critical=True,
-                reason="flush_failed",
-                error=type(error).__name__,
-            )
-            self._finish_ok(
-                ticket,
-                SolveOutcome(
-                    x=result.x[0],
-                    iterations=int(result.iterations[0]),
-                    residual_norm=float(result.residual_norms[0]),
-                    converged=bool(result.converged[0]),
-                    solver_name=result.solver_name,
-                    used_fallback=True,
-                    batch_size=1,
-                    queue_wait_ms=(ticket.queue_wait_ns or 0) / 1e6,
-                    solve_ms=0.0,
-                    worker=worker.device_name,
-                    plan_cache_hit=cache_hit,
-                ),
-            )
+                return None
+        self.metrics.counter("serve.fallbacks").inc()
+        self.events.emit(REQUEST_FALLBACK, ctx=ctx, critical=True, **event)
+        return result
 
     # -- circuit breaking --------------------------------------------------------------
 
@@ -978,10 +951,6 @@ class SolverService:
 
     # -- completion --------------------------------------------------------------------
 
-    def _finish_ok(self, ticket: SolveTicket, outcome: SolveOutcome) -> None:
-        if self._deliver_ok(ticket, outcome):
-            self._release([ticket])
-
     def _deliver_ok(self, ticket: SolveTicket, outcome: SolveOutcome) -> bool:
         """Complete one ticket successfully; False if it already finished.
 
@@ -1000,10 +969,9 @@ class SolverService:
         # tail-based sampling: judge against the p99 *before* folding this
         # sample in, once enough history exists to make p99 meaningful
         tail = hdr.count >= 64 and latency_ms >= hdr.percentile(99.0)
-        self._latency.observe(latency_ms)
-        # HDR-style streaming twin: bounded memory, mergeable, and what the
-        # Prometheus exposition renders as a classic histogram — with the
-        # trace id as the bucket's exemplar, so p99 names a real request
+        # HDR-style streaming histogram: bounded memory, mergeable, and what
+        # the Prometheus exposition renders as a classic histogram — with
+        # the trace id as the bucket's exemplar, so p99 names a real request
         hdr.observe(latency_ms, trace_id=ctx.trace_id)
         self.events.emit(
             REQUEST_SOLVED,

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.chaos import ChaosInjector, FaultPlan, FaultSpec
+from repro.chaos.plan import POISON_BATCH
 from repro.core.solver.base import BatchSolveResult
 from repro.exceptions import (
     NonFiniteInputError,
@@ -22,6 +24,7 @@ from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.serve import request as request_module
 from repro.serve import service as service_module
 from repro.serve.request import TIMED_OUT, PatternTable
+from repro.telemetry.events import REQUEST_FALLBACK, REQUEST_FLUSHED
 
 
 def _tridiag(n, scale=1.0):
@@ -225,6 +228,61 @@ class TestGracefulDegradation:
         assert all(o.batch_size == 4 for o in healthy_outcomes)
         assert service.metrics.counter("serve.fallbacks").value == 1
         assert service.metrics.counter("serve.failed").value == 0
+
+    @pytest.mark.parametrize("entry", ["not_converged", "flush_failed"])
+    def test_fallback_entry_points(self, entry):
+        """Both ways into the per-system LU fallback: one system of the
+        flush did not converge, or the whole flush failed (a poisoned
+        batch), which re-solves every request alone."""
+        rng = np.random.default_rng(2)
+        n = 12
+        chaos = (
+            ChaosInjector(FaultPlan(0, (FaultSpec(POISON_BATCH, at=(0,)),)))
+            if entry == "flush_failed"
+            else None
+        )
+        config = ServeConfig(max_batch_size=4, max_wait_ms=500.0, num_workers=1)
+        with SolverService(config, chaos=chaos) as service:
+            requests = [
+                SolveRequest(
+                    matrix,
+                    rng.standard_normal(n),
+                    solver="cg",
+                    preconditioner="jacobi",
+                    max_iterations=40,
+                )
+                for matrix in [_tridiag(n)] * 3 + [_poisoned(n)]
+            ]
+            tickets = [service.submit(r) for r in requests]
+            outcomes = [t.result(timeout=30.0) for t in tickets]
+
+        rescued = outcomes if entry == "flush_failed" else outcomes[-1:]
+        assert [o.used_fallback for o in outcomes].count(True) == len(rescued)
+        assert all(o.used_fallback and o.solver_name == "direct" for o in rescued)
+        for request, outcome in zip(requests, outcomes):
+            reference = np.linalg.solve(_dense_of(request), request.b)
+            np.testing.assert_allclose(outcome.x, reference, rtol=1e-6)
+        counters = {
+            name: service.metrics.counter(name).value
+            for name in ("serve.fallbacks", "serve.fallback_failures", "serve.failed")
+        }
+        assert counters == {
+            "serve.fallbacks": len(rescued),
+            "serve.fallback_failures": 0,
+            "serve.failed": 0,
+        }
+        records = service.events.records()
+        (flush_id,) = {r["fields"]["flush_id"] for r in records if r["type"] == REQUEST_FLUSHED}
+        fallbacks = [r for r in records if r["type"] == REQUEST_FALLBACK]
+        assert sorted(r["trace_id"] for r in fallbacks) == sorted(
+            o.trace_id for o in rescued
+        )
+        expected = (
+            {"reason": "not_converged", "flush_id": flush_id}
+            if entry == "not_converged"
+            else {"reason": "flush_failed", "error": "PoisonedBatchError"}
+        )
+        assert all(r["fields"] == expected for r in fallbacks)
 
     def test_fallback_disabled_reports_nonconvergence(self):
         config = ServeConfig(

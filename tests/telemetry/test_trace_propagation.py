@@ -8,11 +8,15 @@ carries exactly one of the N minted ids — and each request's full path
 from the flush span's links and span parentage alone.
 """
 
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.observability.tracer import Tracer
+from repro.chaos import ChaosInjector, FaultPlan, FaultSpec
+from repro.chaos.plan import DEVICE_DELAY
+from repro.observability.tracer import Tracer, current_tracer, set_tracer
 from repro.sanitize.report import SLM_RACE, SanitizerReport
 from repro.serve import ServeConfig, SolveRequest, SolverService
 from repro.telemetry import (
@@ -268,3 +272,49 @@ class TestMultiFanIn:
         assert len(lanes) == 2
         for lane in lanes:
             assert multi_span in _ancestors(lane)
+
+
+class TestOverlappingFlushes:
+    DWELL_MS = 200.0
+
+    def test_each_flush_keeps_its_tracer_and_none_leaks(self):
+        """Two workers flush two keys at once; neither flush installs or
+        removes the service tracer under the other, nor leaves it behind.
+
+        Flush 0 dwells on worker 0 while flush 1 starts on worker 1 and
+        waits out a device delay before its solve, so flush 0 finishes
+        between flush 1's start and its solve.
+        """
+        rng = np.random.default_rng(5)
+        outer = Tracer()
+        previous = set_tracer(outer)
+        try:
+            tracer = Tracer()
+            chaos = ChaosInjector(
+                FaultPlan(0, (FaultSpec(DEVICE_DELAY, at=(1,), delay_ms=self.DWELL_MS),))
+            )
+            config = ServeConfig(
+                max_batch_size=1, num_workers=2, device_dwell_ms=self.DWELL_MS
+            )
+            with SolverService(config, tracer=tracer, chaos=chaos) as service:
+                first = _request(rng, n=10)
+                second = _request(rng, n=12)
+                assert first.batch_key != second.batch_key
+                tickets = [service.submit(first)]
+                time.sleep(self.DWELL_MS / 2e3)
+                tickets.append(service.submit(second))
+                outcomes = [t.result(timeout=30.0) for t in tickets]
+            assert current_tracer() is outer
+        finally:
+            set_tracer(previous)
+        assert all(o.converged for o in outcomes)
+        workers = {s.args["worker"] for s in tracer.spans if s.name == "serve.flush"}
+        assert len(workers) == 2
+        solves = [s for s in tracer.spans if s.name == "serve.solve"]
+        assert len(solves) == 2
+        for solve in solves:
+            assert any(
+                s.name.startswith("solve.") and solve in _ancestors(s)
+                for s in tracer.spans
+            ), "the solver ran without the service tracer"
+        assert not outer.spans
